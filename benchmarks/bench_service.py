@@ -20,11 +20,10 @@ A third section benchmarks serving **over HTTP at high concurrency**,
 three architectures against the same workload: the legacy
 thread-per-connection server (``serve_threaded.py`` — synchronous
 per-request planning, no caching, no batching), the single-process
-``celia serve`` (one TCP connection per request — the server closes
-after every response), and the sharded ``celia fleet serve``
-(keep-alive connections into the asyncio front end, one framed
-write/read per request on persistent Unix-domain links to the shard
-workers).  All run as real subprocesses.  The workload cycles a
+``celia serve`` (the fleet's keep-alive front end over one in-process
+shard), and the sharded ``celia fleet serve`` (the same front end, one
+framed write/read per request on persistent Unix-domain links to the
+shard workers).  All run as real subprocesses.  The workload cycles a
 catalog of ``FLEET_QUERY_CATALOG`` distinct queries over four warm-key
 seeds — planning traffic repeats, and serving repeats well is exactly
 what the service's result cache plus the router's shard affinity buy:
@@ -42,7 +41,7 @@ Run directly (not via pytest)::
 Results land in ``BENCH_service.json`` at the repository root, including
 two acceptance checks: batched throughput at concurrency 32 must be at
 least 5x the one-process-per-request baseline, and fleet throughput at
-concurrency 256 must be at least 2x the connection-per-request server.
+concurrency 256 must be at least 2x the threaded server.
 ``--quick`` runs one baseline process, the (1, 8) concurrency levels and
 a 32-way HTTP comparison only, skipping both speedup assertions — the
 CI benchmark-smoke mode.
@@ -73,8 +72,8 @@ REQUESTS_PER_WORKER = 8
 N_BASELINE = 3
 SPEEDUP_TARGET = 5.0
 
-#: HTTP comparison: single-process connection-per-request server vs the
-#: sharded keep-alive fleet, same query mix, both as subprocesses.
+#: HTTP comparison: the single-process server vs the sharded fleet,
+#: same query mix, both as subprocesses.
 FLEET_CONCURRENCY = 256
 QUICK_FLEET_CONCURRENCY = 32
 FLEET_REQUESTS_PER_CONN = 32
@@ -271,14 +270,9 @@ async def _http_once(host: str, port: int, frame: bytes
 
 
 async def _run_http_load(host: str, port: int, *, concurrency: int,
-                         per_conn: int, keep_alive: bool
-                         ) -> tuple[float, list[float]]:
-    """Closed-loop load: ``concurrency`` clients, ``per_conn`` requests each.
-
-    ``keep_alive=True`` holds one connection per client (the fleet front
-    end); ``keep_alive=False`` opens a fresh connection per request (all
-    the single-process server supports — it closes after each response).
-    """
+                         per_conn: int) -> tuple[float, list[float]]:
+    """Closed-loop load: ``concurrency`` keep-alive clients, ``per_conn``
+    requests each over one connection."""
     latencies: list[float] = []
 
     async def close_quietly(writer) -> None:
@@ -290,44 +284,36 @@ async def _run_http_load(host: str, port: int, *, concurrency: int,
 
     async def client(client_index: int) -> None:
         indices = range(client_index * per_conn, (client_index + 1) * per_conn)
-        if keep_alive:
-            reader = writer = None
-            try:
-                for i in indices:
-                    frame = _request_frame(i)
-                    t0 = time.perf_counter()
-                    # A server may drop a keep-alive connection under
-                    # load; reconnecting is the client's job and the
-                    # reconnect cost stays in this request's latency.
-                    for attempt in range(5):
-                        try:
-                            if writer is None:
-                                reader, writer = await \
-                                    asyncio.open_connection(host, port)
-                            writer.write(frame)
-                            await writer.drain()
-                            status, _ = await _read_response(reader)
-                            break
-                        except (ConnectionError, OSError,
-                                asyncio.IncompleteReadError):
-                            if writer is not None:
-                                await close_quietly(writer)
-                            reader = writer = None
-                    else:
-                        raise RuntimeError(
-                            f"request {i}: connection dropped 5 times")
-                    latencies.append(time.perf_counter() - t0)
-                    assert status == 200, f"request {i} -> HTTP {status}"
-            finally:
-                if writer is not None:
-                    await close_quietly(writer)
-        else:
+        reader = writer = None
+        try:
             for i in indices:
                 frame = _request_frame(i)
                 t0 = time.perf_counter()
-                status, _ = await _http_once(host, port, frame)
+                # A server may drop a keep-alive connection under load;
+                # reconnecting is the client's job and the reconnect
+                # cost stays in this request's latency.
+                for attempt in range(5):
+                    try:
+                        if writer is None:
+                            reader, writer = await \
+                                asyncio.open_connection(host, port)
+                        writer.write(frame)
+                        await writer.drain()
+                        status, _ = await _read_response(reader)
+                        break
+                    except (ConnectionError, OSError,
+                            asyncio.IncompleteReadError):
+                        if writer is not None:
+                            await close_quietly(writer)
+                        reader = writer = None
+                else:
+                    raise RuntimeError(
+                        f"request {i}: connection dropped 5 times")
                 latencies.append(time.perf_counter() - t0)
                 assert status == 200, f"request {i} -> HTTP {status}"
+        finally:
+            if writer is not None:
+                await close_quietly(writer)
 
     t0 = time.perf_counter()
     await asyncio.gather(*(client(c) for c in range(concurrency)))
@@ -367,7 +353,7 @@ def _stop_server(proc: subprocess.Popen) -> None:
 
 
 async def _bench_http_target(port: int, *, concurrency: int,
-                             keep_alive: bool, prefix: str) -> dict:
+                             prefix: str) -> dict:
     # Untimed prewarm: one request per seed builds that shard's warm
     # state, so the timed run measures serving, not state construction.
     for seed_index in range(len(FLEET_SEEDS)):
@@ -379,10 +365,10 @@ async def _bench_http_target(port: int, *, concurrency: int,
     # ~15%; the better run is the less-perturbed measurement.
     wall, latencies = await _run_http_load(
         "127.0.0.1", port, concurrency=concurrency,
-        per_conn=FLEET_REQUESTS_PER_CONN, keep_alive=keep_alive)
+        per_conn=FLEET_REQUESTS_PER_CONN)
     wall2, latencies2 = await _run_http_load(
         "127.0.0.1", port, concurrency=concurrency,
-        per_conn=FLEET_REQUESTS_PER_CONN, keep_alive=keep_alive)
+        per_conn=FLEET_REQUESTS_PER_CONN)
     if len(latencies2) / wall2 > len(latencies) / wall:
         wall, latencies = wall2, latencies2
     summary = percentile_summary(latencies)
@@ -406,8 +392,8 @@ def bench_http_comparison(concurrency: int) -> dict:
     * ``threaded`` — thread-per-connection ``serve_threaded.py`` (the
       legacy architecture: synchronous uncached planning per request;
       driven keep-alive, its best case);
-    * ``single_http`` — the asyncio ``celia serve`` (connection per
-      request — all it supports, it closes after every response);
+    * ``single_http`` — ``celia serve`` (the keep-alive front end over
+      one in-process shard and its result cache);
     * ``fleet`` — ``celia fleet serve`` (keep-alive front end, framed
       links to shard workers holding shard-local result caches).
     """
@@ -421,7 +407,7 @@ def bench_http_comparison(concurrency: int) -> dict:
          "--warm", APP] + depth)
     try:
         threaded = asyncio.run(_bench_http_target(
-            threaded_port, concurrency=concurrency, keep_alive=True,
+            threaded_port, concurrency=concurrency,
             prefix="threaded"))
     finally:
         _stop_server(threaded_proc)
@@ -431,7 +417,7 @@ def bench_http_comparison(concurrency: int) -> dict:
         common + ["serve", "--port", "0", "--warm", APP] + depth)
     try:
         single = asyncio.run(_bench_http_target(
-            single_port, concurrency=concurrency, keep_alive=False,
+            single_port, concurrency=concurrency,
             prefix="single_http"))
     finally:
         _stop_server(single_proc)
@@ -441,7 +427,7 @@ def bench_http_comparison(concurrency: int) -> dict:
                   "--port", "0", "--warm", APP] + depth)
     try:
         fleet = asyncio.run(_bench_http_target(
-            fleet_port, concurrency=concurrency, keep_alive=True,
+            fleet_port, concurrency=concurrency,
             prefix="fleet"))
     finally:
         _stop_server(fleet_proc)

@@ -15,6 +15,9 @@ shared content-addressed snapshot cache, so fleet RAM scales with the
 
     celia fleet serve --workers 2 --warm small --port 8337
 
+The same front end serves ``celia serve`` over one in-process shard
+(:mod:`~repro.fleet.local`), so both commands share one HTTP layer.
+
 See ``docs/ops.md`` for the operator runbook.
 """
 
@@ -27,9 +30,10 @@ from repro.fleet.chaos import (
     fleet_chaos_names,
     fleet_chaos_plan,
 )
-from repro.fleet.frontend import FleetFrontend
+from repro.fleet.frontend import FleetFrontend, run_frontend
 from repro.fleet.hashing import DEFAULT_VNODES, HashRing, ring_hash, warm_key
 from repro.fleet.health import FleetTimeline, HealthMonitor, TimelineEvent
+from repro.fleet.local import LocalShard, PlannerServer, run_server
 from repro.fleet.rpc import WorkerGone, WorkerLink, encode_frame
 from repro.fleet.supervisor import FleetConfig, PlannerFleet, run_fleet
 from repro.fleet.worker import ShardWorker
@@ -46,7 +50,9 @@ __all__ = [
     "HashRing",
     "HealthMonitor",
     "LinkFaults",
+    "LocalShard",
     "PlannerFleet",
+    "PlannerServer",
     "ShardWorker",
     "TimelineEvent",
     "WorkerGone",
@@ -56,5 +62,7 @@ __all__ = [
     "fleet_chaos_plan",
     "ring_hash",
     "run_fleet",
+    "run_frontend",
+    "run_server",
     "warm_key",
 ]

@@ -1,10 +1,21 @@
-"""Asyncio HTTP front end and shard router for the planner fleet.
+"""The planner's one HTTP front end, over a shard fleet or one in-process shard.
 
-This replaces the single-process server's connection-per-request hot
-path: connections are **keep-alive** (HTTP/1.1 pipelining of sequential
-requests over one socket), and each planning request costs one framed
-write/read on a persistent Unix-domain link to the owning shard worker
-(:mod:`repro.fleet.rpc`) instead of a fresh connection and HTTP parse.
+Connections are **keep-alive** (sequential HTTP/1.1 requests over one
+socket).  Each planning request is routed by its warm key to a backend
+shard, whose response bytes go into the HTTP reply verbatim.  Two
+backends provide the routing surface:
+
+* :class:`repro.fleet.supervisor.PlannerFleet` (``celia fleet serve``)
+  — N shard worker processes, each request one framed write/read on a
+  persistent Unix-domain link (:mod:`repro.fleet.rpc`);
+* :class:`repro.fleet.local.LocalShard` (``celia serve``) — one
+  :class:`~repro.fleet.worker.ShardWorker` in this process, called
+  directly.
+
+Both shards answer through :meth:`ShardWorker.answer
+<repro.fleet.worker.ShardWorker.answer>` (decode,
+:func:`repro.service.server.dispatch_request`, encode), so a select is
+byte-identical whichever backend serves it.
 
 Routing is deterministic: the request's warm key ``(app, quota, seed)``
 hashes onto the consistent ring (:mod:`repro.fleet.hashing`), so every
@@ -17,23 +28,28 @@ envelope if the retry fails too.
 Routes:
 
 * ``POST /v1/select`` / ``/v1/predict`` / ``/v1/plan`` / ``/v1/replan``
-  — routed to the owning shard; answers are byte-identical to
-  ``celia serve`` because both ends share
-  :func:`repro.service.server.dispatch_request`;
-* ``GET  /healthz``     — fleet liveness + per-worker link status;
+  — routed to the owning shard;
+* ``GET  /healthz``     — liveness, readiness, per-worker link status
+  and the backend's own fields;
 * ``GET  /fleet``       — topology: workers, sockets, routing counts;
-* ``GET  /metrics``     — every worker's snapshot relabeled with
-  ``{worker="..."}`` and merged with the router's own series;
+* ``GET  /metrics``     — the router's series merged with the
+  backend's snapshots (each fleet worker's relabeled
+  ``{worker="..."}``, the in-process shard's unlabeled);
 * ``GET  /metrics.txt`` — the same, as a flat text exposition;
 * ``POST /fleet/restart`` — gracefully restart one worker
   (``{"worker": "w1"}``) and wait for it to rejoin.
+
+:func:`run_frontend` is the blocking start/warm/signal/drain loop both
+``celia serve`` and ``celia fleet serve`` run.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import signal
 import socket
+import sys
 import time
 from collections import OrderedDict
 
@@ -43,30 +59,37 @@ from repro.fleet.rpc import WorkerGone
 from repro.obs.metrics import (
     MetricsRegistry,
     global_registry,
-    label_snapshot,
     merge_snapshots,
     render_text,
 )
-from repro.service.server import _MAX_BODY_BYTES, _POST_ROUTES, _REASONS
+from repro.service.server import _error_body
 
-__all__ = ["FleetFrontend"]
+__all__ = ["FleetFrontend", "run_frontend"]
 
 _MAX_HEAD_BYTES = 1 << 14
-
-
-def _error_body(code: str, message: str) -> dict:
-    return {"error": {"code": code, "message": message}}
+_MAX_BODY_BYTES = 1 << 20
+_REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
+            405: "Method Not Allowed", 413: "Payload Too Large",
+            422: "Unprocessable Entity", 429: "Too Many Requests",
+            500: "Internal Server Error", 503: "Service Unavailable",
+            504: "Gateway Timeout"}
+_POST_ROUTES = {"/v1/select": "select", "/v1/predict": "predict",
+                "/v1/plan": "plan", "/v1/replan": "replan"}
 
 
 class FleetFrontend:
     """Keep-alive HTTP listener that routes requests to shard workers.
 
-    ``fleet`` is the routing surface (normally a
-    :class:`repro.fleet.supervisor.PlannerFleet`) and must provide:
+    ``fleet`` is the routing backend (a
+    :class:`repro.fleet.supervisor.PlannerFleet` or a
+    :class:`repro.fleet.local.LocalShard`) and must provide:
     ``worker_ids``, ``default_quota``, ``default_seed``,
     ``route(key, exclude=...)``, ``link(worker_id)``,
-    ``note_lost(worker_id)``, ``restart_worker(worker_id)`` and
-    ``describe()``.
+    ``note_lost(worker_id)``, ``restart_worker(worker_id)``,
+    ``describe()`` and ``scrape_metrics(timeout_s=...)``.  It may
+    provide ``down``, ``warmed_apps``, ``timeline`` and
+    ``health_fields()``; :func:`run_frontend` also needs ``start()``,
+    ``stop()`` and ``warm(app)``.
     """
 
     def __init__(self, fleet, *, host: str = "127.0.0.1", port: int = 0,
@@ -95,8 +118,7 @@ class FleetFrontend:
         #: get a typed 429 ``too_many_requests``.
         self.max_total_inflight = max_total_inflight
         self.shed_retry_after_s = shed_retry_after_s
-        #: Apps that must be warmed before ``/healthz`` reports ready —
-        #: the same readiness contract as the single server.
+        #: Apps that must be warmed before ``/healthz`` reports ready.
         self.expected_warm = tuple(expected_warm)
         self.metrics = MetricsRegistry()
         self._server: asyncio.AbstractServer | None = None
@@ -383,7 +405,7 @@ class FleetFrontend:
         warmed = getattr(self.fleet, "warmed_apps", None)
         warm_ok = warmed is None \
             or set(self.expected_warm) <= set(warmed)
-        return {
+        health = {
             "status": "draining" if self._draining else "ok",
             "ready": not self._draining and all(links.values())
             and not ejected and warm_ok,
@@ -394,6 +416,10 @@ class FleetFrontend:
             "expected_warm": list(self.expected_warm),
             "warm_ok": warm_ok,
         }
+        backend_fields = getattr(self.fleet, "health_fields", None)
+        if backend_fields is not None:
+            health.update(backend_fields())
+        return health
 
     def _timeline_view(self) -> dict:
         """``GET /fleet/timeline``: the resilience audit trail."""
@@ -413,26 +439,20 @@ class FleetFrontend:
         return body
 
     async def _metrics_snapshot(self) -> dict:
-        """Router series + every worker's snapshot tagged ``{worker=…}``."""
-        per_worker: list[dict] = []
-        for wid in self.fleet.worker_ids:
-            try:
-                status, body = await self.fleet.link(wid).call(
-                    {"kind": "__metrics__"}, timeout_s=self.call_timeout_s)
-            except WorkerGone:
-                self.metrics.counter("fleet_scrape_errors_total").increment()
-                continue
-            if status == 200:
-                per_worker.append(label_snapshot(body, {"worker": wid}))
-        return merge_snapshots(global_registry().snapshot(),
-                               self.metrics.snapshot(), *per_worker)
+        """Process-global and router series + the backend's snapshots."""
+        return merge_snapshots(
+            global_registry().snapshot(), self.metrics.snapshot(),
+            *await self.fleet.scrape_metrics(timeout_s=self.call_timeout_s))
 
     async def _restart(self, request: dict) -> tuple[int, dict]:
         worker = request.get("worker")
         if worker not in self.fleet.worker_ids:
             return 404, _error_body("not_found",
                                     f"no worker {worker!r} in the fleet")
-        await self.fleet.restart_worker(worker)
+        try:
+            await self.fleet.restart_worker(worker)
+        except ValidationError as exc:
+            return 400, _error_body("invalid_request", str(exc))
         return 200, {"restarted": worker}
 
     async def _route_request(self, kind: str, key: str,
@@ -519,3 +539,60 @@ class FleetFrontend:
             counts[fallback] -= 1
         self._routed(fallback).increment()
         return status, body
+
+
+def run_frontend(frontend: FleetFrontend, *, ready_callback=None,
+                 drain_timeout_s: float = 10.0, background=None) -> None:
+    """Blocking serve loop behind ``celia serve`` and ``celia fleet serve``.
+
+    Starts the backend (``frontend.fleet``) and the listener, warms
+    ``frontend.expected_warm`` through the backend (``/healthz`` reports
+    unready until then), starts ``background()`` — an optional
+    coroutine function, e.g. a chaos injector — and serves until
+    SIGTERM/SIGINT.  Shutdown drains the front end (stop accepting,
+    finish in-flight requests, force-close hung connections after
+    ``drain_timeout_s``) before the backend stops.
+    """
+
+    async def _run() -> None:
+        backend = frontend.fleet
+        await backend.start()
+        loop = asyncio.get_running_loop()
+        installed: list = []
+        tasks: list = []
+        try:
+            await frontend.start()
+            shutdown = asyncio.Event()
+            for sig in (signal.SIGTERM, signal.SIGINT):
+                try:
+                    loop.add_signal_handler(sig, shutdown.set)
+                    installed.append(sig)
+                except (NotImplementedError, RuntimeError):
+                    pass  # platform without signal support
+            for app in frontend.expected_warm:
+                await backend.warm(app)
+            if background is not None:
+                tasks.append(asyncio.create_task(background()))
+            if ready_callback is not None:
+                ready_callback(frontend)
+            tasks.append(asyncio.create_task(frontend.serve_forever()))
+            await shutdown.wait()
+            if not await frontend.drain(timeout_s=drain_timeout_s):
+                print(f"drain timeout ({drain_timeout_s:g}s) expired; "
+                      f"closing hung connections", file=sys.stderr,
+                      flush=True)
+        finally:
+            for task in tasks:
+                task.cancel()
+                try:
+                    await task
+                except (asyncio.CancelledError, Exception):
+                    pass
+            for sig in installed:
+                loop.remove_signal_handler(sig)
+            await backend.stop()
+
+    try:
+        asyncio.run(_run())
+    except KeyboardInterrupt:  # pragma: no cover - interactive interrupt
+        pass

@@ -37,11 +37,12 @@ from pathlib import Path
 
 import repro
 from repro.errors import ValidationError
-from repro.fleet.frontend import FleetFrontend
+from repro.fleet.chaos import ChaosInjector
+from repro.fleet.frontend import FleetFrontend, run_frontend
 from repro.fleet.hashing import DEFAULT_VNODES, HashRing, warm_key
 from repro.fleet.health import FleetTimeline, HealthMonitor
 from repro.fleet.rpc import WorkerGone, WorkerLink
-from repro.obs.metrics import global_registry
+from repro.obs.metrics import global_registry, label_snapshot
 
 __all__ = ["FleetConfig", "PlannerFleet", "run_fleet"]
 
@@ -276,6 +277,22 @@ class PlannerFleet:
         """Drop a worker from routing; probes/monitor re-admit it."""
         self.eject(worker_id, reason="lost mid-request")
 
+    async def scrape_metrics(self, *, timeout_s: "float | None" = None
+                             ) -> list[dict]:
+        """Every reachable worker's snapshot, relabeled ``{worker=…}``."""
+        snapshots: list[dict] = []
+        for wid in self.worker_ids:
+            try:
+                status, body = await self._links[wid].call(
+                    {"kind": "__metrics__"}, timeout_s=timeout_s)
+            except WorkerGone:
+                global_registry().counter(
+                    "fleet_scrape_errors_total").increment()
+                continue
+            if status == 200:
+                snapshots.append(label_snapshot(body, {"worker": wid}))
+        return snapshots
+
     def describe(self) -> dict:
         """Topology for ``GET /fleet``."""
         return {
@@ -409,69 +426,24 @@ def run_fleet(config: FleetConfig, *, ready_callback=None,
               drain_timeout_s: float = 10.0, chaos_plan=None) -> None:
     """Blocking entry point used by ``celia fleet serve``.
 
-    Stands the fleet up, warms ``config.warm_apps`` on their owning
-    shards, then serves until SIGTERM/SIGINT, which drains the front end
-    (stop accepting, finish in-flight, force-close hung connections)
-    before the workers are terminated.
+    Serves a :class:`PlannerFleet` through :func:`run_frontend`: the
+    fleet starts, ``config.warm_apps`` warm on their owning shards, and
+    SIGTERM/SIGINT drains the front end before the workers terminate.
 
     ``chaos_plan`` (a :class:`repro.fleet.chaos.FleetChaosPlan`) starts
     a fault injector against the fleet's own workers once it is ready —
     ``celia fleet serve --chaos S`` for resilience rehearsal.
     """
-
-    async def _run() -> None:
-        fleet = PlannerFleet(config)
-        await fleet.start()
-        frontend = FleetFrontend(
-            fleet, host=config.host, port=config.port,
-            call_timeout_s=config.call_timeout_s,
-            max_inflight=config.max_inflight,
-            max_total_inflight=config.max_total_inflight,
-            shed_retry_after_s=config.shed_retry_after_s,
-            expected_warm=tuple(config.warm_apps))
-        chaos_task: "asyncio.Task | None" = None
-        try:
-            await frontend.start()
-            shutdown = asyncio.Event()
-            loop = asyncio.get_running_loop()
-            installed: list = []
-            for sig in (signal.SIGTERM, signal.SIGINT):
-                try:
-                    loop.add_signal_handler(sig, shutdown.set)
-                    installed.append(sig)
-                except (NotImplementedError, RuntimeError):
-                    pass  # platform without signal support
-            for app in config.warm_apps:
-                await fleet.warm(app)
-            if chaos_plan is not None:
-                from repro.fleet.chaos import ChaosInjector
-                injector = ChaosInjector(fleet, chaos_plan)
-                chaos_task = asyncio.create_task(injector.run())
-            if ready_callback is not None:
-                ready_callback(frontend)
-            serve_task = asyncio.create_task(frontend.serve_forever())
-            try:
-                await shutdown.wait()
-                completed = await frontend.drain(timeout_s=drain_timeout_s)
-                if not completed:
-                    print(f"fleet drain timeout ({drain_timeout_s:g}s) "
-                          f"expired; closing hung connections",
-                          file=sys.stderr, flush=True)
-            finally:
-                for task in (serve_task, chaos_task):
-                    if task is None:
-                        continue
-                    task.cancel()
-                    try:
-                        await task
-                    except (asyncio.CancelledError, Exception):
-                        pass
-                for sig in installed:
-                    loop.remove_signal_handler(sig)
-        finally:
-            await fleet.stop()
-
-    try:
-        asyncio.run(_run())
-    except KeyboardInterrupt:  # pragma: no cover - interactive interrupt
-        pass
+    fleet = PlannerFleet(config)
+    background = None
+    if chaos_plan is not None:
+        background = ChaosInjector(fleet, chaos_plan).run
+    frontend = FleetFrontend(
+        fleet, host=config.host, port=config.port,
+        call_timeout_s=config.call_timeout_s,
+        max_inflight=config.max_inflight,
+        max_total_inflight=config.max_total_inflight,
+        shed_retry_after_s=config.shed_retry_after_s,
+        expected_warm=tuple(config.warm_apps))
+    run_frontend(frontend, ready_callback=ready_callback,
+                 drain_timeout_s=drain_timeout_s, background=background)

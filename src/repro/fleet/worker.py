@@ -2,11 +2,12 @@
 
 Each worker process owns the warm state for the warm-key shard the
 router assigns it, and answers framed requests (see
-:mod:`repro.fleet.rpc`) over a Unix-domain socket.  Planning requests
-flow through the exact same
-:func:`repro.service.server.dispatch_request` path the single-process
-HTTP server uses, so a select answered by a shard is byte-identical to
-one answered by ``celia serve``.
+:mod:`repro.fleet.rpc`) over a Unix-domain socket.  Every frame's slow
+path is :meth:`ShardWorker.answer` — JSON decode,
+:func:`repro.service.server.dispatch_request`, JSON encode — the same
+method the in-process shard behind ``celia serve``
+(:class:`repro.fleet.local.LocalShard`) calls, so a select answered by
+either is byte-identical.
 
 Beyond the planning kinds the worker answers control frames:
 
@@ -47,7 +48,7 @@ from collections import OrderedDict
 from repro.fleet.rpc import encode_frame, encode_reply_frame
 from repro.obs.metrics import global_registry, merge_snapshots
 from repro.service.planner import PlannerService, ServiceConfig
-from repro.service.server import dispatch_request
+from repro.service.server import _error_body, dispatch_request
 
 __all__ = ["ShardWorker", "build_service", "main"]
 
@@ -141,7 +142,7 @@ class ShardWorker:
                 payload = await reader.readexactly(length) if length else b""
                 # Serve raw-memo hits inline: no task spawn, no dispatch,
                 # no re-encode — the repeat path is a dict lookup.
-                raw = self._raw_lookup(header.get("kind"), payload)
+                raw = self.memo_hit(header.get("kind"), payload)
                 if raw is not None:
                     replies.send(encode_reply_frame(header["id"], 200, raw))
                     continue
@@ -166,7 +167,7 @@ class ShardWorker:
             except (ConnectionError, OSError, asyncio.CancelledError):
                 pass
 
-    def _raw_lookup(self, kind, payload: bytes) -> "bytes | None":
+    def memo_hit(self, kind, payload: bytes) -> "bytes | None":
         """Serialized-response memo hit for a planning frame, or None."""
         if not kind or kind.startswith("__"):
             return None
@@ -178,9 +179,13 @@ class ShardWorker:
             self._raw_hits.increment()
         return raw
 
-    async def _serve_frame(self, header: dict, payload: bytes,
-                           replies: _ReplyStream) -> None:
-        kind = header.get("kind")
+    async def answer(self, kind, payload: bytes) -> tuple[int, bytes]:
+        """Answer one frame: ``(status, response bytes)``.
+
+        The slow path behind :meth:`memo_hit`: decode the payload,
+        dispatch it, encode the response and, when the service answered
+        from its result cache, remember the bytes for the memo.
+        """
         try:
             if self._slow_s > 0 and kind and not kind.startswith("__"):
                 await asyncio.sleep(self._slow_s)
@@ -190,10 +195,9 @@ class ShardWorker:
             request["kind"] = kind
             status, body = await self._dispatch(request)
         except Exception as exc:  # never kill the worker on one frame
-            status, body = 500, {"error": {"code": "internal",
-                                           "message": str(exc)}}
-        # Default (spaced) separators so the response bytes — which the
-        # front end forwards verbatim — match ``celia serve`` exactly.
+            status, body = 500, _error_body("internal", str(exc))
+        # Default (spaced) separators: these bytes are the HTTP response
+        # body, whichever backend the front end routed through.
         raw = json.dumps(body).encode("utf-8")
         if kind and not kind.startswith("__") and status == 200 \
                 and body.get("cached"):
@@ -202,6 +206,11 @@ class ShardWorker:
                 self._raw_responses[(kind, payload)] = raw
                 while len(self._raw_responses) > limit:
                     self._raw_responses.popitem(last=False)
+        return status, raw
+
+    async def _serve_frame(self, header: dict, payload: bytes,
+                           replies: _ReplyStream) -> None:
+        status, raw = await self.answer(header.get("kind"), payload)
         frame_id = header.get("id")
         if isinstance(frame_id, int):
             replies.send(encode_reply_frame(frame_id, status, raw))

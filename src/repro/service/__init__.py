@@ -9,7 +9,8 @@ JSON-over-HTTP with live metrics.
     service = PlannerService()
     response = await service.select("galaxy", 65536, 8000, 24, 350)
 
-    # or over the wire:
+    # or over the wire (``celia serve`` is the fleet's HTTP front end
+    # over one in-process shard, :mod:`repro.fleet.local`):
     #   celia serve --port 8337
     client = PlannerClient(port=8337)
     response = client.select("galaxy", n=65536, a=8000,
@@ -34,7 +35,6 @@ from repro.service.serialize import (
     prediction_to_dict,
     selection_to_dict,
 )
-from repro.service.server import PlannerServer, run_server
 
 __all__ = [
     "KNOWN_APPS",
@@ -57,3 +57,14 @@ __all__ = [
     "selection_to_dict",
     "run_server",
 ]
+
+
+def __getattr__(name: str):
+    # The HTTP front end lives in ``repro.fleet``, which imports this
+    # package; resolving these two on first use keeps the import graph
+    # one-way (fleet -> service) at import time.
+    if name in ("PlannerServer", "run_server"):
+        from repro.fleet import local
+
+        return getattr(local, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -256,7 +256,7 @@ class TestServiceMetricsMerge:
 
         async def snapshot_and_text():
             server = PlannerServer(service)
-            return server._metrics_snapshot()
+            return await server._metrics_snapshot()
 
         merged = asyncio.run(snapshot_and_text())
         # Service series keep their historical names; global series ride

@@ -204,6 +204,52 @@ class TestHealthReadiness:
         assert after["ready"] is True
 
 
+class TestKeepAlive:
+    def test_repeat_select_reuses_socket_and_raw_memo(self):
+        import http.client
+
+        service = make_service()
+        body = json.dumps({"app": "galaxy", "n": 65536, "a": 2000,
+                           "deadline_hours": 48, "budget_dollars": 350})
+
+        async def run():
+            # Seed the result cache so both HTTP answers are cached ones.
+            await service.select("galaxy", 65536.0, 2000.0, 48.0, 350.0)
+            server = PlannerServer(service)
+            await server.start()
+            try:
+                def call():
+                    conn = http.client.HTTPConnection("127.0.0.1",
+                                                      server.port,
+                                                      timeout=10)
+                    answers = []
+                    for _ in range(2):
+                        conn.request("POST", "/v1/select", body=body)
+                        response = conn.getresponse()
+                        answers.append((response.status, response.read(),
+                                        conn.sock))
+                    conn.request("GET", "/metrics")
+                    metrics = json.loads(conn.getresponse().read())
+                    conn.request("GET", "/healthz",
+                                 headers={"Connection": "close"})
+                    response = conn.getresponse()
+                    response.read()
+                    conn.close()
+                    return answers, metrics, response.getheader("Connection")
+
+                return await asyncio.get_running_loop().run_in_executor(
+                    None, call)
+            finally:
+                await server.stop()
+
+        (first, second), metrics, closing = asyncio.run(run())
+        assert first[0] == second[0] == 200
+        assert first[2] is not None and second[2] is first[2]
+        assert second[1] == first[1]
+        assert metrics["counters"]["raw_response_hits"] == 1
+        assert closing == "close"
+
+
 class TestGracefulDrain:
     def test_draining_rejects_posts_but_keeps_health_observable(self):
         service = make_service()
@@ -299,7 +345,9 @@ class TestGracefulDrain:
                 while server.in_flight == 0:
                     await asyncio.sleep(0.01)
                 drained = await server.drain(timeout_s=0.05)
-                await request  # let it finish before teardown
+                # The drain force-closed the hung connection.
+                with pytest.raises(ServiceUnavailableError):
+                    await request
                 return drained
             finally:
                 await server.stop()
