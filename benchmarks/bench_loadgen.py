@@ -69,6 +69,11 @@ QUICK_INTENSITIES_RPS = (5.0, 10.0, 20.0)
 QUICK_CAPACITY_DURATION_S = 3.0
 
 
+def _round6(seconds: "float | None") -> "float | None":
+    """Six-decimal seconds; an empty sample stays ``None`` (JSON null)."""
+    return None if seconds is None else round(seconds, 6)
+
+
 def bench_determinism(report: dict) -> "WorkloadConfig":
     from repro.loadgen import WorkloadConfig, generate_trace
 
@@ -135,10 +140,10 @@ def bench_replay(report: dict, config) -> None:
         "offered_rps": round(replay.offered_rps, 3),
         "peak_inflight": replay.peak_inflight,
         "max_lag_s": round(replay.max_lag_s, 6),
-        "replay_p50_s": round(replay.p50_s, 6),
-        "replay_p99_s": round(replay.p99_s, 6),
-        "burst_p99_s": round(replay.burst_p99_s, 6),
-        "calm_p99_s": round(replay.calm_p99_s, 6),
+        "replay_p50_s": _round6(replay.p50_s),
+        "replay_p99_s": _round6(replay.p99_s),
+        "burst_p99_s": _round6(replay.burst_p99_s),
+        "calm_p99_s": _round6(replay.calm_p99_s),
         "cell_wall_s": round(cell_s, 3),
         "p99_bound_s": REPLAY_P99_BOUND_S,
         "invariant_violations": problems,
@@ -147,6 +152,8 @@ def bench_replay(report: dict, config) -> None:
         raise SystemExit(f"FAIL: replay report invariants: {problems}")
     if replay.errors:
         raise SystemExit(f"FAIL: {replay.errors} non-shed replay errors")
+    if replay.p99_s is None:
+        raise SystemExit("FAIL: the replay answered no request")
     if replay.p99_s > REPLAY_P99_BOUND_S:
         raise SystemExit(f"FAIL: replay p99 {replay.p99_s:.3f}s exceeds "
                          f"{REPLAY_P99_BOUND_S}s")

@@ -18,6 +18,10 @@ which must stay in the tens of milliseconds regardless of how the
 baseline drifts).  A bound that matches no leaf is an error — it
 catches renamed metrics silently disarming the gate.
 
+A ``null`` leaf is the statistic of an empty sample (for example a p99
+over zero answered requests).  The relative comparison skips it; a
+``--require-max`` bound on it fails, since no latency was measured.
+
 Usage::
 
     python benchmarks/compare_bench.py BASELINE.json CURRENT.json \
@@ -70,20 +74,27 @@ def load_report(path: Path, role: str) -> dict:
     return report
 
 
-def flatten(node, prefix="") -> dict[str, float]:
-    """Dotted-path -> value map of every timing leaf in a report."""
-    out: dict[str, float] = {}
+def flatten(node, prefix="", *,
+            keep_null: bool = False) -> dict[str, float | None]:
+    """Dotted-path -> value map of every timing leaf in a report.
+
+    ``null`` leaves are skipped unless ``keep_null``, which maps them to
+    ``None``.
+    """
+    out: dict[str, float | None] = {}
     if isinstance(node, dict):
         for key, value in node.items():
-            out.update(flatten(value, f"{prefix}{key}."))
+            out.update(flatten(value, f"{prefix}{key}.",
+                               keep_null=keep_null))
     elif isinstance(node, list):
         for i, value in enumerate(node):
-            out.update(flatten(value, f"{prefix}{i}."))
-    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+            out.update(flatten(value, f"{prefix}{i}.", keep_null=keep_null))
+    elif (isinstance(node, (int, float)) and not isinstance(node, bool)) \
+            or (node is None and keep_null):
         key = prefix.rstrip(".")
         leaf = key.rsplit(".", 1)[-1]
         if leaf.endswith(TIMING_SUFFIXES):
-            out[key] = float(node)
+            out[key] = None if node is None else float(node)
     return out
 
 
@@ -108,8 +119,9 @@ def compare(baseline: dict, current: dict, *, max_ratio: float,
 
 def check_bounds(current: dict, bounds: dict[str, float]) -> list[str]:
     """Absolute ceilings: every current leaf named in ``bounds`` must be
-    at or under its bound; an unmatched bound is itself a failure."""
-    curr = flatten(current)
+    at or under its bound; an unmatched bound or a ``null`` bounded leaf
+    is itself a failure."""
+    curr = flatten(current, keep_null=True)
     failures = []
     for leaf, ceiling in bounds.items():
         matched = {k: v for k, v in curr.items()
@@ -119,7 +131,10 @@ def check_bounds(current: dict, bounds: dict[str, float]) -> list[str]:
                             f"in the current report (renamed?)")
             continue
         for key, value in matched.items():
-            if value > ceiling:
+            if value is None:
+                failures.append(f"{key}: null (an empty sample) where an "
+                                f"absolute bound of {ceiling:g}s applies")
+            elif value > ceiling:
                 failures.append(f"{key}: {value:.4f}s exceeds absolute "
                                 f"bound {ceiling:g}s")
     return failures

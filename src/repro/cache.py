@@ -58,6 +58,12 @@ CACHE_DIR_ENV = "CELIA_CACHE_DIR"
 
 _FORMAT_VERSION = 1
 
+#: Version of the index snapshot layout alone (2: the block × rank count
+#: table replaced the per-block sorted ``ratio_blocks``).  Kept apart from
+#: ``_FORMAT_VERSION``, which is part of every evaluation's content key:
+#: the swept arrays did not change, so neither do their keys.
+_INDEX_FORMAT_VERSION = 2
+
 
 def default_cache_dir() -> Path:
     """``$CELIA_CACHE_DIR`` if set, else ``~/.cache/celia``."""
@@ -129,7 +135,8 @@ class IndexSnapshotEntry:
 #: Arrays of one index snapshot, in write order (the metadata file lands
 #: last and marks the snapshot valid).
 _INDEX_ARRAYS = ("frontier_rows", "capacity_order", "capacity_sorted",
-                 "ratio_by_capacity", "ratio_sorted", "ratio_blocks")
+                 "ratio_by_capacity", "ratio_sorted", "pos_of_rank",
+                 "rank_table")
 
 
 _SPAN_FILE_RE = re.compile(r"^span-(\d{12})-(\d{12})\.npy$")
@@ -495,9 +502,11 @@ class EvaluationCache:
         """Memory-map and validate one snapshot's arrays (raises on any
         inconsistency — shapes, dtypes, stale metadata, rows out of
         range; the public entry points translate that into a miss)."""
+        from repro.core.selection import rank_table_shape
+
         meta = json.loads(self._index_meta_path(key, block_size)
                           .read_text(encoding="utf-8"))
-        if meta.get("version") != _FORMAT_VERSION or \
+        if meta.get("version") != _INDEX_FORMAT_VERSION or \
                 meta.get("space_size") != space_size or \
                 meta.get("block_size") != block_size:
             raise ValueError("stale index snapshot")
@@ -507,14 +516,15 @@ class EvaluationCache:
                            mmap_mode="r")
             for which in _INDEX_ARRAYS
         }
-        n_blocks = -(-space_size // block_size)
+        n_blocks, _, n_cols = rank_table_shape(space_size, block_size)
         expected = {
             "frontier_rows": ((frontier_size,), np.int64),
             "capacity_order": ((space_size,), np.int64),
             "capacity_sorted": ((space_size,), np.float64),
             "ratio_by_capacity": ((space_size,), np.float64),
             "ratio_sorted": ((space_size,), np.float64),
-            "ratio_blocks": ((n_blocks, block_size), np.float64),
+            "pos_of_rank": ((space_size,), np.int32),
+            "rank_table": ((n_cols, n_blocks), np.int32),
         }
         for which, (shape, dtype) in expected.items():
             if arrays[which].shape != shape or \
@@ -533,7 +543,7 @@ class EvaluationCache:
         """The persisted :class:`~repro.core.selection.FrontierIndex`
         for this evaluation, or ``None``.
 
-        A hit memory-maps all six snapshot arrays (``mmap_mode="r"``) and
+        A hit memory-maps all seven snapshot arrays (``mmap_mode="r"``) and
         rehydrates the index without any pass over the space — the
         millisecond warm-start path.  The evaluation's ``capacity_order``
         cache is primed from the snapshot too, so downstream index
@@ -571,7 +581,8 @@ class EvaluationCache:
                 capacity_sorted=arrays["capacity_sorted"],
                 ratio_by_capacity=arrays["ratio_by_capacity"],
                 ratio_sorted=arrays["ratio_sorted"],
-                ratio_blocks=arrays["ratio_blocks"],
+                pos_of_rank=arrays["pos_of_rank"],
+                rank_table=arrays["rank_table"],
                 block_size=block_size,
             )
 
@@ -603,8 +614,14 @@ class EvaluationCache:
                 "capacity_sorted": index._capacity_sorted,
                 "ratio_by_capacity": index._ratio_by_capacity,
                 "ratio_sorted": index._ratio_sorted,
-                "ratio_blocks": index._ratio_blocks,
+                "pos_of_rank": index._pos_of_rank,
+                "rank_table": index._rank_table,
             }
+            # A snapshot of an older layout leaves arrays this one lacks.
+            base = self._index_base(key, block_size)
+            for path in self.cache_dir.glob(f"{base}.*.npy"):
+                if path.stem.rsplit(".", 1)[-1] not in _INDEX_ARRAYS:
+                    path.unlink(missing_ok=True)
             for which in _INDEX_ARRAYS:
                 target = self._index_array_path(key, block_size, which)
                 tmp = target.with_suffix(f".tmp{os.getpid()}")
@@ -612,7 +629,7 @@ class EvaluationCache:
                     np.save(fh, np.ascontiguousarray(arrays[which]))
                 os.replace(tmp, target)
             meta = {
-                "version": _FORMAT_VERSION,
+                "version": _INDEX_FORMAT_VERSION,
                 "key": key,
                 "space_size": evaluation.space.size,
                 "block_size": block_size,

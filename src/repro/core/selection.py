@@ -20,8 +20,8 @@ Two execution strategies produce identical results:
   ``(1/U, C_u/U)``.  :class:`FrontierIndex` precomputes that set once per
   :class:`SpaceEvaluation`; afterwards each query filters the (tiny)
   precomputed frontier by the constraints and counts feasibility with
-  binary searches over a capacity-sorted block structure — O(|frontier| +
-  √S·log S) instead of O(S).
+  binary searches plus a block × rank prefix-count table — O(|frontier|
+  + log S + B + R) instead of O(S) (see :func:`rank_table_shape`).
 
 Exactness across the two paths is bit-level, not just mathematical.
 Both compute times as ``fl(fl(D/U)/3600)`` and costs as
@@ -57,6 +57,14 @@ __all__ = [
 #: Rows per block of the feasibility-count structure (√S-ish for the
 #: paper's space; a single block for small spaces).
 DEFAULT_FEASIBILITY_BLOCK = 4096
+
+
+def rank_table_shape(total: int, block_size: int) -> tuple[int, int, int]:
+    """``(blocks, rank stride R, columns)`` of the feasibility count table:
+    at most ``total + blocks`` cells for any block size."""
+    n_blocks = -(-total // block_size)
+    stride = max(block_size, n_blocks)
+    return n_blocks, stride, total // stride + 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -183,12 +191,12 @@ class FrontierIndex:
       When the evaluation came from a fused sweep its harvested
       candidates are merged directly (a few hundred rows); otherwise one
       witness-filtered pass over the value arrays recovers them.
-    * a capacity-sorted order whose ratio values are additionally sorted
-      inside fixed-size blocks — ``feasible_count`` then needs one binary
-      search for the capacity cutoff, one for the ratio cutoff, and one
-      ``searchsorted`` per block instead of an O(S) chunk loop.  Built
-      lazily on first use (three S-length sorts), or rehydrated from a
-      persisted snapshot via :meth:`from_arrays` without any sort.
+    * the count structure — with rows in capacity order (blocks of ``B``),
+      ``pos_of_rank`` maps each ratio rank to its position and
+      ``rank_table[j, b]`` counts the rows in blocks ``>= b`` ranked below
+      ``j·R``, so ``feasible_count`` is two binary searches, one cell and
+      two scans of at most ``B`` and ``R`` rows.  Built lazily on first
+      use (two argsorts), or rehydrated via :meth:`from_arrays`.
     """
 
     def __init__(self, evaluation: SpaceEvaluation,
@@ -229,14 +237,15 @@ class FrontierIndex:
             span.set_attribute("candidates", int(rows.size))
             span.set_attribute("frontier", int(self.frontier_rows.size))
 
-        # The feasibility-count structure (three S-length sorts) is built
+        # The feasibility-count structure (two S-length argsorts) is built
         # lazily on the first ``feasible_count`` — frontier-only
         # consumers and snapshot stores that load it from disk never pay
         # the sorts.
         self._capacity_sorted: np.ndarray | None = None
         self._ratio_by_capacity: np.ndarray | None = None
         self._ratio_sorted: np.ndarray | None = None
-        self._ratio_blocks: np.ndarray | None = None
+        self._pos_of_rank: np.ndarray | None = None
+        self._rank_table: np.ndarray | None = None
 
     @classmethod
     def from_arrays(cls, evaluation: SpaceEvaluation, *,
@@ -244,7 +253,8 @@ class FrontierIndex:
                     capacity_sorted: np.ndarray,
                     ratio_by_capacity: np.ndarray,
                     ratio_sorted: np.ndarray,
-                    ratio_blocks: np.ndarray,
+                    pos_of_rank: np.ndarray,
+                    rank_table: np.ndarray,
                     block_size: int) -> "FrontierIndex":
         """Rehydrate an index from persisted (typically mmap'd) arrays.
 
@@ -267,7 +277,8 @@ class FrontierIndex:
         index._capacity_sorted = capacity_sorted
         index._ratio_by_capacity = ratio_by_capacity
         index._ratio_sorted = ratio_sorted
-        index._ratio_blocks = ratio_blocks
+        index._pos_of_rank = pos_of_rank
+        index._rank_table = rank_table
         return index
 
     def ensure_feasibility(self) -> None:
@@ -283,24 +294,31 @@ class FrontierIndex:
         ratio = evaluation.cost_ratio()
         total = capacity.size
         order = evaluation.capacity_order()
-        capacity_sorted = capacity[order]
-        ratio_by_capacity = ratio[order]
-        ratio_sorted = np.sort(ratio, kind="stable")
+        # Equal ratios may rank in any order: with ``k`` the left
+        # insertion point of a cutoff, ``rank < k`` <=> ``ratio < cutoff``.
+        by_ratio = np.argsort(ratio)
+        position = np.empty(total, dtype=np.int32)
+        position[order] = np.arange(total, dtype=np.int32)
+        pos_of_rank = position[by_ratio]
+        self._ratio_sorted = ratio[by_ratio]
+        del by_ratio, position  # 120 MB at quota 5: free before the table
         block_size = self._block_size
-        n_blocks = -(-total // block_size)
-        padded = np.full(n_blocks * block_size, np.inf)
-        padded[:total] = ratio_by_capacity
-        ratio_blocks = padded.reshape(n_blocks, block_size)
-        ratio_blocks.sort(axis=1)
-        self._ratio_by_capacity = ratio_by_capacity
-        self._ratio_sorted = ratio_sorted
-        self._ratio_blocks = ratio_blocks
+        n_blocks, stride, n_cols = rank_table_shape(total, block_size)
+        hist = np.bincount(np.arange(total, dtype=np.int32) // stride
+                           * n_blocks + pos_of_rank // block_size,
+                           minlength=n_cols * n_blocks).reshape(n_cols, -1)
+        rank_table = np.zeros((n_cols, n_blocks), dtype=np.int32)
+        np.cumsum(hist[:-1, ::-1], axis=1, out=rank_table[1:, ::-1])
+        np.cumsum(rank_table, axis=0, out=rank_table)
+        self._ratio_by_capacity = ratio[order]
+        self._pos_of_rank = pos_of_rank
+        self._rank_table = rank_table
         # Published LAST: concurrent callers (the service computes
         # batches on executor threads) gate on this attribute, so every
         # other array must be visible before it is.  A racing duplicate
         # build is benign — the inputs are deterministic, so both builds
         # produce identical arrays.
-        self._capacity_sorted = capacity_sorted
+        self._capacity_sorted = capacity[order]
 
     @property
     def block_size(self) -> int:
@@ -332,12 +350,12 @@ class FrontierIndex:
                 lo = mid + 1
         return lo
 
-    def _ratio_cutoff(self, demand_gi: float, budget_dollars: float) -> float:
-        """Smallest ratio value whose predicted cost reaches ``C'``.
+    def _ratio_cutoff(self, demand_gi: float, budget_dollars: float) -> int:
+        """First ratio-sorted rank whose predicted cost reaches ``C'``.
 
         ``fl(fl(D·r)/3600)`` is monotone non-decreasing in ``r``, so a row
-        is cost-feasible iff its ratio is strictly below the returned
-        value (``inf`` when every row is feasible).
+        is cost-feasible iff its rank is below the returned one (``S``
+        when every row is feasible).
         """
         rs = self._ratio_sorted
         lo, hi = 0, rs.size
@@ -347,31 +365,37 @@ class FrontierIndex:
                 lo = mid + 1
             else:
                 hi = mid
-        return float(rs[lo]) if lo < rs.size else np.inf
+        return lo
 
     def feasible_count(self, demand_gi: float, deadline_hours: float,
                        budget_dollars: float) -> int:
         """How many configurations satisfy ``T < T'`` and ``C < C'``.
 
         Exactly equal to the streamed count: the two cutoffs reduce the
-        conjunction to "capacity-suffix AND ratio < cutoff", counted with
-        one partial-block scan plus one ``searchsorted`` per full block.
+        conjunction to "capacity position >= p AND rank < k".
         """
         _validate_query(demand_gi, deadline_hours, budget_dollars)
+        return self._feasible_count(demand_gi, deadline_hours,
+                                    budget_dollars)
+
+    def _feasible_count(self, demand_gi: float, deadline_hours: float,
+                        budget_dollars: float) -> int:
         self.ensure_feasibility()
         p = self._capacity_cutoff(demand_gi, deadline_hours)
         total = self._capacity_sorted.size
         if p >= total:
             return 0
-        r_cut = self._ratio_cutoff(demand_gi, budget_dollars)
         block = self._block_size
         first_full = -(-p // block)  # first block fully inside the suffix
         head_stop = min(first_full * block, total)
-        count = int(np.count_nonzero(self._ratio_by_capacity[p:head_stop]
-                                     < r_cut))
-        blocks = self._ratio_blocks
-        for b in range(first_full, blocks.shape[0]):
-            count += int(np.searchsorted(blocks[b], r_cut, side="left"))
+        count = int(np.count_nonzero(demand_gi * self._ratio_by_capacity[
+            p:head_stop] / SECONDS_PER_HOUR < budget_dollars))
+        n_blocks, stride, _ = rank_table_shape(total, block)
+        if first_full < n_blocks:
+            k = self._ratio_cutoff(demand_gi, budget_dollars)
+            j = k // stride
+            count += int(self._rank_table[j, first_full]) + int(
+                np.count_nonzero(self._pos_of_rank[j * stride:k] >= head_stop))
         return count
 
     # -- the fast path ----------------------------------------------------------
@@ -394,8 +418,8 @@ class FrontierIndex:
             deadline_hours=deadline_hours,
             budget_dollars=budget_dollars,
             total_configurations=self.evaluation.space.size,
-            feasible_count=self.feasible_count(demand_gi, deadline_hours,
-                                               budget_dollars),
+            feasible_count=self._feasible_count(demand_gi, deadline_hours,
+                                                budget_dollars),
             pareto=tuple(pareto_points),
         )
 
@@ -446,7 +470,7 @@ class FrontierIndex:
                 deadline_hours=float(deadlines[q]),
                 budget_dollars=float(budgets[q]),
                 total_configurations=self.evaluation.space.size,
-                feasible_count=self.feasible_count(
+                feasible_count=self._feasible_count(
                     float(demands[q]), float(deadlines[q]),
                     float(budgets[q])),
                 pareto=tuple(pareto_points),

@@ -72,9 +72,9 @@ class CapacityCell:
     ok: int
     shed: int
     errors: int
-    availability: float
-    p50_s: float
-    p99_s: float
+    availability: float | None
+    p50_s: float | None
+    p99_s: float | None
     cost_per_hour: float
     feasible: bool
 
@@ -120,9 +120,11 @@ class CapacityResult:
         for cell in self.cells:
             table.add_row([
                 f"{cell.intensity_rps:g}", str(cell.shards),
-                f"{cell.cost_per_hour:.3f}", f"{cell.p99_s * 1e3:.1f}",
+                f"{cell.cost_per_hour:.3f}",
+                "-" if cell.p99_s is None else f"{cell.p99_s * 1e3:.1f}",
                 str(cell.shed), str(cell.errors),
-                f"{cell.availability:.3f}",
+                "-" if cell.availability is None
+                else f"{cell.availability:.3f}",
                 "met" if cell.feasible else "MISSED",
             ])
         lines = [table.render(), ""]
@@ -220,8 +222,8 @@ def run(ctx: ExperimentContext, *,
                 # disqualify a cell just like hard errors do.
                 feasible = (report.errors == 0
                             and report.shed == 0
-                            and report.p99_s <= slo_p99_s
-                            and report.ok > 0)
+                            and report.ok > 0
+                            and report.p99_s <= slo_p99_s)
                 cells.append(CapacityCell(
                     shards=shards,
                     intensity_rps=float(rps),
@@ -245,10 +247,12 @@ def run(ctx: ExperimentContext, *,
         cheapest[float(rps)] = (min(feasible,
                                     key=lambda c: c.cost_per_hour).shards
                                 if feasible else None)
-        costs = np.array([c.cost_per_hour for c in group])
-        p99s = np.array([c.p99_s for c in group])
-        indices = pareto_indices_2d(costs, p99s)
-        frontier[float(rps)] = tuple(group[i].shards for i in indices)
+        # A cell that answered nothing has no p99: never on the frontier.
+        answered = [c for c in group if c.p99_s is not None]
+        indices = pareto_indices_2d(
+            np.array([c.cost_per_hour for c in answered]),
+            np.array([c.p99_s for c in answered]))
+        frontier[float(rps)] = tuple(answered[i].shards for i in indices)
 
     return CapacityResult(
         slo_p99_s=slo_p99_s,

@@ -17,6 +17,10 @@ The report answers the operator questions a replay exists to ask:
   measured from *intended* arrival — coordinated-omission-free)?
 * was the replayer itself honest (``max_lag_s`` bounds scheduling skew;
   a lagging replayer under-drives the service)?
+
+A statistic of an empty sample is ``None`` (JSON ``null``), never
+``0.0``: a replay that answered nothing has no latency and no
+availability, and a zero would pass every latency ceiling.
 """
 
 from __future__ import annotations
@@ -34,10 +38,21 @@ __all__ = ["TenantStats", "ReplayReport", "check_invariants"]
 _PCTS = (50.0, 95.0, 99.0)
 
 
-def _percentile(ordered: "list[float]", p: float) -> float:
-    """Nearest-rank percentile on a sorted, non-empty list."""
+def _percentile(ordered: "list[float]", p: float) -> float | None:
+    """Nearest-rank percentile on a sorted list (``None`` when empty)."""
+    if not ordered:
+        return None
     last = len(ordered) - 1
     return ordered[min(last, round(p / 100.0 * last))]
+
+
+def _optional_float(value) -> float | None:
+    return None if value is None else float(value)
+
+
+def _ms(seconds: float | None, unit: str = "ms") -> str:
+    """Milliseconds for display; ``-`` for an empty sample."""
+    return "-" if seconds is None else f"{seconds * 1e3:.1f}{unit}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,10 +65,10 @@ class TenantStats:
     shed: int
     infeasible: int
     errors: int
-    p50_s: float
-    p95_s: float
-    p99_s: float
-    max_s: float
+    p50_s: float | None
+    p95_s: float | None
+    p99_s: float | None
+    max_s: float | None
 
     def to_dict(self) -> dict:
         return {
@@ -84,18 +99,18 @@ class ReplayReport:
     shed: int
     infeasible: int
     errors: int
-    availability: float
+    availability: float | None
     offered_rps: float
     achieved_rps: float
-    p50_s: float
-    p95_s: float
-    p99_s: float
-    max_s: float
+    p50_s: float | None
+    p95_s: float | None
+    p99_s: float | None
+    max_s: float | None
     max_lag_s: float
     peak_inflight: int
     tenants: tuple[TenantStats, ...]
-    burst_p99_s: float = 0.0
-    calm_p99_s: float = 0.0
+    burst_p99_s: float | None = None
+    calm_p99_s: float | None = None
     server_metrics: dict = field(default_factory=dict)
 
     # -- construction -----------------------------------------------------
@@ -132,10 +147,10 @@ class ReplayReport:
                 shed=sum(1 for o in rows if o.status == "shed"),
                 infeasible=sum(1 for o in rows if o.status == "infeasible"),
                 errors=sum(1 for o in rows if o.status == "error"),
-                p50_s=_percentile(ok_lat, 50.0) if ok_lat else 0.0,
-                p95_s=_percentile(ok_lat, 95.0) if ok_lat else 0.0,
-                p99_s=_percentile(ok_lat, 99.0) if ok_lat else 0.0,
-                max_s=ok_lat[-1] if ok_lat else 0.0,
+                p50_s=_percentile(ok_lat, 50.0),
+                p95_s=_percentile(ok_lat, 95.0),
+                p99_s=_percentile(ok_lat, 99.0),
+                max_s=_percentile(ok_lat, 100.0),
             ))
 
         total = len(observations)
@@ -152,19 +167,19 @@ class ReplayReport:
             shed=counts["shed"],
             infeasible=counts["infeasible"],
             errors=counts["error"],
-            availability=(counts["ok"] / answered) if answered else 1.0,
+            availability=(counts["ok"] / answered) if answered else None,
             offered_rps=total / (result.duration_s / result.time_scale)
             if result.duration_s > 0 else 0.0,
             achieved_rps=counts["ok"] / wall,
-            p50_s=_percentile(latencies, 50.0) if latencies else 0.0,
-            p95_s=_percentile(latencies, 95.0) if latencies else 0.0,
-            p99_s=_percentile(latencies, 99.0) if latencies else 0.0,
-            max_s=latencies[-1] if latencies else 0.0,
+            p50_s=_percentile(latencies, 50.0),
+            p95_s=_percentile(latencies, 95.0),
+            p99_s=_percentile(latencies, 99.0),
+            max_s=_percentile(latencies, 100.0),
             max_lag_s=max_lag,
             peak_inflight=result.peak_inflight,
             tenants=tuple(tenants),
-            burst_p99_s=_percentile(burst_lat, 99.0) if burst_lat else 0.0,
-            calm_p99_s=_percentile(calm_lat, 99.0) if calm_lat else 0.0,
+            burst_p99_s=_percentile(burst_lat, 99.0),
+            calm_p99_s=_percentile(calm_lat, 99.0),
             server_metrics=dict(result.server_metrics),
         )
 
@@ -213,18 +228,18 @@ class ReplayReport:
                 shed=int(payload["shed"]),
                 infeasible=int(payload["infeasible"]),
                 errors=int(payload["errors"]),
-                availability=float(payload["availability"]),
+                availability=_optional_float(payload["availability"]),
                 offered_rps=float(payload["offered_rps"]),
                 achieved_rps=float(payload["achieved_rps"]),
-                p50_s=float(payload["p50_s"]),
-                p95_s=float(payload["p95_s"]),
-                p99_s=float(payload["p99_s"]),
-                max_s=float(payload["max_s"]),
+                p50_s=_optional_float(payload["p50_s"]),
+                p95_s=_optional_float(payload["p95_s"]),
+                p99_s=_optional_float(payload["p99_s"]),
+                max_s=_optional_float(payload["max_s"]),
                 max_lag_s=float(payload["max_lag_s"]),
                 peak_inflight=int(payload["peak_inflight"]),
                 tenants=tenants,
-                burst_p99_s=float(payload.get("burst_p99_s", 0.0)),
-                calm_p99_s=float(payload.get("calm_p99_s", 0.0)),
+                burst_p99_s=_optional_float(payload.get("burst_p99_s")),
+                calm_p99_s=_optional_float(payload.get("calm_p99_s")),
                 server_metrics=dict(payload.get("server_metrics", {})),
             )
         except (KeyError, TypeError) as exc:
@@ -252,12 +267,13 @@ class ReplayReport:
             f"({self.offered_rps:.1f} offered rps, wall {self.wall_s:.1f}s)",
             f"  ok {self.ok}  shed {self.shed}  "
             f"infeasible {self.infeasible}  errors {self.errors}  "
-            f"availability {self.availability:.4f}",
-            f"  latency p50 {self.p50_s * 1e3:.1f}ms  "
-            f"p95 {self.p95_s * 1e3:.1f}ms  p99 {self.p99_s * 1e3:.1f}ms  "
-            f"max {self.max_s * 1e3:.1f}ms  "
-            f"(burst p99 {self.burst_p99_s * 1e3:.1f}ms, "
-            f"calm p99 {self.calm_p99_s * 1e3:.1f}ms)",
+            "availability " + ("-" if self.availability is None
+                               else f"{self.availability:.4f}"),
+            f"  latency p50 {_ms(self.p50_s)}  "
+            f"p95 {_ms(self.p95_s)}  p99 {_ms(self.p99_s)}  "
+            f"max {_ms(self.max_s)}  "
+            f"(burst p99 {_ms(self.burst_p99_s)}, "
+            f"calm p99 {_ms(self.calm_p99_s)})",
             f"  peak inflight {self.peak_inflight}  "
             f"max replayer lag {self.max_lag_s * 1e3:.1f}ms",
             "",
@@ -269,8 +285,7 @@ class ReplayReport:
             table.add_row([
                 t.tenant, str(t.requests), str(t.ok), str(t.shed),
                 str(t.errors + t.infeasible),
-                f"{t.p50_s * 1e3:.1f}", f"{t.p95_s * 1e3:.1f}",
-                f"{t.p99_s * 1e3:.1f}",
+                _ms(t.p50_s, ""), _ms(t.p95_s, ""), _ms(t.p99_s, ""),
             ])
         lines.append(table.render())
         return "\n".join(lines)
@@ -287,14 +302,19 @@ def check_invariants(report: ReplayReport) -> "list[str]":
     if report.ok + report.shed + report.infeasible + report.errors \
             != report.requests:
         problems.append("status counts do not sum to total requests")
-    if not 0.0 <= report.availability <= 1.0:
+    if report.availability is not None and \
+            not 0.0 <= report.availability <= 1.0:
         problems.append("availability outside [0, 1]")
     if report.tenants:
         if sum(t.requests for t in report.tenants) != report.requests:
             problems.append("tenant request counts do not sum to total")
         if sum(t.ok for t in report.tenants) != report.ok:
             problems.append("tenant ok counts do not sum to total ok")
-    if not report.p50_s <= report.p95_s <= report.p99_s <= report.max_s:
+    if (report.p50_s is None) != (report.ok == 0):
+        problems.append("latency percentiles must be null exactly when "
+                        "no request was answered ok")
+    elif report.ok and \
+            not report.p50_s <= report.p95_s <= report.p99_s <= report.max_s:
         problems.append("percentiles not monotone")
     for t in report.tenants:
         if t.ok and not t.p50_s <= t.p95_s <= t.p99_s <= t.max_s:

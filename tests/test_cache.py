@@ -1,5 +1,6 @@
 """Tests for the persistent evaluation cache (:mod:`repro.cache`)."""
 
+import json
 import os
 import subprocess
 import sys
@@ -377,6 +378,39 @@ class TestIndexSnapshots:
         assert cache.clear() == 1
         assert cache.index_snapshots() == []
         assert cache.load_index(evaluation, small_capacities) is None
+
+    def test_v1_snapshot_is_rebuilt_as_v2(self, evaluated, small_capacities,
+                                          tmp_path, capsys):
+        """A snapshot of the per-block sorted layout (format 1) is a miss
+        even when every current array is present with the right shape;
+        storing over it writes format 2 and drops ``ratio_blocks``."""
+        from repro.cli import main
+
+        _, evaluation = evaluated
+        cache = EvaluationCache(tmp_path)
+        index = self.build_index(evaluation)
+        key = cache.store_index(index, small_capacities)
+        base = tmp_path / f"{key}.index-b{index.block_size}"
+        meta_path = Path(f"{base}.meta.json")
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        meta["version"] = 1
+        meta_path.write_text(json.dumps(meta), encoding="utf-8")
+        old_array = Path(f"{base}.ratio_blocks.npy")
+        np.save(old_array, np.full((1, index.block_size), np.inf))
+
+        assert cache.load_index(evaluation, small_capacities) is None
+        assert main(["--cache-dir", str(tmp_path), "cache", "info"]) == 0
+        capsys.readouterr()
+        cache.store_index(self.build_index(evaluation), small_capacities)
+        assert json.loads(meta_path.read_text(encoding="utf-8"))[
+            "version"] == 2
+        assert not old_array.exists()
+        loaded = cache.load_index(evaluation, small_capacities)
+        assert loaded is not None
+        assert isinstance(loaded._rank_table, np.memmap)
+        demand = float(evaluation.capacity_gips.max()) * 3600.0
+        assert loaded.feasible_count(demand, 24.0, 350.0) == \
+            index.feasible_count(demand, 24.0, 350.0)
 
     def test_store_is_idempotent(self, evaluated, small_capacities,
                                  tmp_path):

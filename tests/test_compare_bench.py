@@ -77,3 +77,25 @@ class TestComparison:
         current = write_report(tmp_path / "curr.json", {"wall_s": 0.01})
         result = compare(baseline, current)
         assert result.returncode == 0
+
+    def test_null_leaves_are_skipped(self, tmp_path):
+        """A null leaf (an empty sample's statistic) is not compared."""
+        baseline = write_report(tmp_path / "base.json",
+                                {"p99_s": None, "sweep_wall_s": 2.0})
+        current = write_report(tmp_path / "curr.json",
+                               {"p99_s": 9.0, "sweep_wall_s": 2.0})
+        result = compare(baseline, current)
+        assert result.returncode == 0
+        assert "1 shared timing metric" in result.stdout
+
+    def test_null_bounded_leaf_fails(self, tmp_path):
+        """A bound on a null leaf fails: a 0.0 would have passed it."""
+        baseline = write_report(tmp_path / "base.json",
+                                {"replay": {"replay_p99_s": 0.01}})
+        current = write_report(tmp_path / "curr.json",
+                               {"replay": {"replay_p99_s": None},
+                                "other": {"replay_p99_s": 0.01}})
+        result = compare(baseline, current,
+                         "--require-max", "replay_p99_s=2.0")
+        assert result.returncode == 1
+        assert "replay.replay_p99_s: null" in result.stderr

@@ -204,6 +204,47 @@ class TestIndexedSelection:
             assert index.feasible_count(50_000.0, 5.0, 3.0) == \
                 reference.feasible_count
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_feasible_count_exact_for_any_block(self, data):
+        """The block × rank count is exact for every block size, with
+        tied ratios and with queries sitting on a row's exact time or
+        cost, and its table stays within ``S + blocks`` cells."""
+        from repro.core.selection import FrontierIndex
+
+        n_types, quota = data.draw(
+            st.sampled_from([(3, 5), (3, 6), (4, 3), (4, 4)]))
+        # Few distinct values, and the last type copies the first, so
+        # configurations tie on capacity and on ratio.
+        rates = data.draw(st.lists(st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+                                   min_size=n_types - 1,
+                                   max_size=n_types - 1))
+        prices = data.draw(st.lists(st.sampled_from([0.1, 0.15, 0.2, 0.3]),
+                                    min_size=n_types - 1,
+                                    max_size=n_types - 1))
+        catalog = make_catalog(
+            [(f"t{k}", 2, 2.0, p) for k, p in enumerate(prices + prices[:1])],
+            quota=quota)
+        evaluation = ConfigurationSpace(catalog).evaluate(
+            np.asarray(rates + rates[:1]))
+        capacity = evaluation.capacity_gips
+        ratio = evaluation.unit_cost_per_hour / capacity
+        size = capacity.size
+        block = data.draw(st.integers(1, 64), label="block_size")
+        index = FrontierIndex(evaluation, block_size=block)
+        for _ in range(5):
+            d = data.draw(st.floats(1e2, 1e6), label="demand")
+            times = d / capacity / 3600.0
+            costs = d * ratio / 3600.0
+            scale = st.sampled_from([1.0]) | st.floats(0.5, 2.0)
+            t = float(times[data.draw(st.integers(0, size - 1))]) \
+                * data.draw(scale)
+            c = float(costs[data.draw(st.integers(0, size - 1))]) \
+                * data.draw(scale)
+            assert index.feasible_count(d, t, c) == \
+                int(((times < t) & (costs < c)).sum())
+        assert index._rank_table.size <= size + -(-size // block)
+
     def test_concurrent_feasibility_builds_are_safe(self, small_catalog,
                                                     small_capacities):
         """The lazy feasibility structure publishes its guard attribute

@@ -8,6 +8,7 @@ in-process :class:`~repro.service.PlannerServer` on a tiny catalog.
 """
 
 import asyncio
+import dataclasses
 import json
 import random
 import subprocess
@@ -264,6 +265,48 @@ class TestReport:
         broken = ReplayReport.from_dict({**report.to_dict(), "ok":
                                          report.ok + 1})
         assert any("sum" in p for p in check_invariants(broken))
+
+    def test_empty_samples_report_null(self):
+        """Nothing answered: no latency and no availability, never 0.0
+        (which would pass every latency ceiling) and never 1.0."""
+        result = _synthetic_result()
+        shed_only = ReplayResult(
+            trace_name=result.trace_name, trace_seed=result.trace_seed,
+            duration_s=result.duration_s, time_scale=result.time_scale,
+            wall_s=result.wall_s, peak_inflight=result.peak_inflight,
+            observations=tuple(
+                dataclasses.replace(o, status="shed", burst=False)
+                for o in result.observations))
+        report = ReplayReport.from_result(shed_only)
+        for value in (report.availability, report.p50_s, report.p95_s,
+                      report.p99_s, report.max_s, report.burst_p99_s,
+                      report.calm_p99_s):
+            assert value is None
+        assert all(t.p99_s is None for t in report.tenants)
+        payload = json.loads(json.dumps(report.to_dict()))
+        assert payload["p99_s"] is None and payload["availability"] is None
+        assert ReplayReport.from_dict(payload) == report
+        assert check_invariants(report) == []
+        assert "p99 -" in report.render()
+
+    def test_empty_burst_sample_is_null(self):
+        result = _synthetic_result()
+        calm = ReplayResult(
+            trace_name=result.trace_name, trace_seed=result.trace_seed,
+            duration_s=result.duration_s, time_scale=result.time_scale,
+            wall_s=result.wall_s, peak_inflight=result.peak_inflight,
+            observations=tuple(dataclasses.replace(o, burst=False)
+                               for o in result.observations))
+        report = ReplayReport.from_result(calm)
+        assert report.burst_p99_s is None
+        assert report.calm_p99_s == report.p99_s
+        assert check_invariants(report) == []
+
+    def test_invariants_catch_zero_latency_of_empty_sample(self):
+        report = ReplayReport.from_result(_synthetic_result())
+        broken = ReplayReport.from_dict({**report.to_dict(), "ok": 0,
+                                         "shed": report.shed + report.ok})
+        assert any("null" in p for p in check_invariants(broken))
 
     def test_from_dict_rejects_garbage(self):
         with pytest.raises(ValidationError):
